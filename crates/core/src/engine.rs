@@ -92,7 +92,9 @@ pub trait KernelCache: Send + Sync {
     /// Insert a prediction under a pre-computed hash.
     fn insert_hash(&self, hash: u64, prediction: Option<f64>);
 
-    /// Number of resident entries.
+    /// Number of resident entries. May scan the whole cache (it does on
+    /// [`AtomicCache`]), so call it when someone asks for occupancy,
+    /// never per predict batch.
     fn len(&self) -> usize;
 
     /// Whether the cache holds no entries.
@@ -103,7 +105,8 @@ pub trait KernelCache: Send + Sync {
     /// Drop all entries (counters are kept).
     fn clear(&self);
 
-    /// Snapshot the counters.
+    /// Snapshot the counters. Fills `entries` from [`KernelCache::len`],
+    /// so it costs a scan too.
     fn stats(&self) -> CacheStats;
 
     /// Evictions so far, without scanning entries.

@@ -126,10 +126,7 @@ mod tests {
     use crate::corpus::{Corpus, CorpusScale};
     use crate::fusion_ds::{build_fusion_dataset, FusionDatasetConfig};
     use crate::tile_ds::{build_tile_dataset, TileDatasetConfig};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("tpu_ds_test_{}_{name}", std::process::id()))
-    }
+    use crate::TempPath;
 
     #[test]
     fn fusion_roundtrip() {
@@ -144,7 +141,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let path = tmp("fusion.jsonl");
+        let path = TempPath::new("fusion.jsonl");
         write_fusion_dataset(&ds, &path).unwrap();
         let restored = read_fusion_dataset(&path).unwrap();
         assert_eq!(restored.examples.len(), ds.examples.len());
@@ -153,7 +150,6 @@ mod tests {
             tpu_hlo::kernel_hash(&ds.examples[0].kernel)
         );
         assert_eq!(restored.examples[0].runtime_ns, ds.examples[0].runtime_ns);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -169,11 +165,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let path = tmp("tile.jsonl");
+        let path = TempPath::new("tile.jsonl");
         write_tile_dataset(&ds, &path).unwrap();
         let restored = read_tile_dataset(&path).unwrap();
         assert_eq!(restored.examples.len(), ds.examples.len());
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -183,10 +178,9 @@ mod tests {
 
     #[test]
     fn read_garbage_reports_line() {
-        let path = tmp("garbage.jsonl");
+        let path = TempPath::new("garbage.jsonl");
         std::fs::write(&path, "not json\n").unwrap();
         let err = read_fusion_dataset(&path).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        let _ = std::fs::remove_file(path);
     }
 }

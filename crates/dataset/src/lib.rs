@@ -33,6 +33,7 @@ mod fusion_ds;
 pub mod models;
 mod stats;
 mod stream;
+mod temp;
 mod tile_ds;
 
 pub use corpus::{
@@ -50,4 +51,5 @@ pub use stream::{
     stream_corpus, whole_graph_example, DatasetReader, DatasetWriter, RecordMeta, StreamError,
     StreamGenConfig, StreamSummary, MAGIC as STREAM_MAGIC, VERSION as STREAM_VERSION,
 };
+pub use temp::TempPath;
 pub use tile_ds::{build_tile_dataset, TileDataset, TileDatasetConfig, TileExample};

@@ -650,11 +650,8 @@ pub fn whole_graph_example(program: &tpu_hlo::Program, cfg: &FusionDatasetConfig
 mod tests {
     use super::*;
     use crate::corpus::CorpusScale;
+    use crate::TempPath;
     use tpu_hlo::{DType, GraphBuilder, Shape};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("tpu_stream_test_{}_{name}", std::process::id()))
-    }
 
     fn tiny_prepared(cols: usize, runtime: f64, group: usize) -> Prepared {
         let mut b = GraphBuilder::new("k");
@@ -666,7 +663,7 @@ mod tests {
 
     #[test]
     fn roundtrip_is_bit_identical() {
-        let path = tmp("roundtrip.tpuds");
+        let path = TempPath::new("roundtrip.tpuds");
         let examples = [
             tiny_prepared(64, 1234.5, usize::MAX),
             tiny_prepared(128, 9.25, 3),
@@ -691,12 +688,11 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(r.program_id(i), i);
         }
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn unfinished_file_is_a_typed_error() {
-        let path = tmp("unfinished.tpuds");
+        let path = TempPath::new("unfinished.tpuds");
         let mut w = DatasetWriter::create(&path).unwrap();
         w.append(&tiny_prepared(64, 1.0, usize::MAX), 0).unwrap();
         drop(w); // never finish()ed
@@ -704,7 +700,6 @@ mod tests {
             Err(StreamError::Corrupt(msg)) => assert!(msg.contains("unfinished"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -720,7 +715,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let path = tmp("gen.tpuds");
+        let path = TempPath::new("gen.tpuds");
         let mut w = DatasetWriter::create(&path).unwrap();
         let summary = stream_corpus(&small, &cfg, &mut w).unwrap();
         w.finish().unwrap();
@@ -731,7 +726,6 @@ mod tests {
         let p = r.get(0).unwrap();
         assert!(p.runtime_ns > 0.0);
         assert!(p.num_nodes() > 0);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -745,7 +739,7 @@ mod tests {
             ..Default::default()
         };
         let in_mem = crate::build_fusion_dataset(&small, &fcfg);
-        let path = tmp("parity.tpuds");
+        let path = TempPath::new("parity.tpuds");
         let mut w = DatasetWriter::create(&path).unwrap();
         let cfg = StreamGenConfig {
             fusion: fcfg,
@@ -762,6 +756,5 @@ mod tests {
             assert_eq!(got.opcode_ids, expect.opcode_ids, "record {i}");
             assert_eq!(r.program_id(i), ex.program_idx, "record {i}");
         }
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -15,14 +15,9 @@
 //! per-record `expected_offset` accumulation are all checked math).
 
 use proptest::prelude::*;
-use std::path::PathBuf;
-use tpu_dataset::{DatasetReader, DatasetWriter, StreamError};
+use tpu_dataset::{DatasetReader, DatasetWriter, StreamError, TempPath};
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_learned_cost::{Prepared, Sample};
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tpu_adv_stream_{}_{name}", std::process::id()))
-}
 
 fn kernel_prepared(cols: usize, runtime: f64, group: usize) -> Prepared {
     let mut b = GraphBuilder::new("k");
@@ -34,30 +29,26 @@ fn kernel_prepared(cols: usize, runtime: f64, group: usize) -> Prepared {
 
 /// A small valid dataset file: the fuzz corpus seed.
 fn valid_bytes() -> Vec<u8> {
-    let path = tmp("seed");
+    let path = TempPath::new("seed");
     let mut w = DatasetWriter::create(&path).unwrap();
     for (i, cols) in [4usize, 8, 16].iter().enumerate() {
         w.append(&kernel_prepared(*cols, 100.0 + i as f64, i), i as u32).unwrap();
     }
     w.finish().unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(path);
-    bytes
+    std::fs::read(&path).unwrap()
 }
 
 /// Open `bytes` as a dataset; on success also read every record, so a
 /// structurally-admitted file must be fully decodable or fail typed.
 fn open_and_drain(bytes: &[u8], name: &str) -> Result<usize, StreamError> {
-    let path = tmp(name);
+    let path = TempPath::new(name);
     std::fs::write(&path, bytes).unwrap();
-    let outcome = DatasetReader::open(&path).and_then(|r| {
+    DatasetReader::open(&path).and_then(|r| {
         for i in 0..r.len() {
             r.get(i)?;
         }
         Ok(r.len())
-    });
-    let _ = std::fs::remove_file(path);
-    outcome
+    })
 }
 
 /// splitmix64 used to derive fuzz bytes from a proptest seed.
@@ -75,12 +66,12 @@ proptest! {
     /// Every truncation of a valid file fails typed — a panic would
     /// abort the test.
     #[test]
-    fn truncations_fail_typed(seed in any::<u64>(), case in 0u32..1_000_000) {
+    fn truncations_fail_typed(seed in any::<u64>()) {
         let full = valid_bytes();
         let mut s = seed;
-        for round in 0..6 {
+        for _ in 0..6 {
             let cut = (splitmix(&mut s) % full.len() as u64) as usize;
-            let outcome = open_and_drain(&full[..cut], &format!("trunc_{case}_{round}"));
+            let outcome = open_and_drain(&full[..cut], "trunc");
             prop_assert!(outcome.is_err(), "cut at {cut} opened and drained");
         }
     }
@@ -90,14 +81,14 @@ proptest! {
     /// (payload bits carry no checksum — flips there are data, not
     /// structure).
     #[test]
-    fn bit_flips_never_panic(seed in any::<u64>(), case in 0u32..1_000_000) {
+    fn bit_flips_never_panic(seed in any::<u64>()) {
         let mut bytes = valid_bytes();
         let mut s = seed;
-        for round in 0..6 {
+        for _ in 0..6 {
             let at = (splitmix(&mut s) % bytes.len() as u64) as usize;
             let bit = 1u8 << (splitmix(&mut s) % 8);
             bytes[at] ^= bit;
-            let _ = open_and_drain(&bytes, &format!("flip_{case}_{round}"));
+            let _ = open_and_drain(&bytes, "flip");
             bytes[at] ^= bit; // restore so flips stay single-bit
         }
     }
@@ -106,14 +97,14 @@ proptest! {
     /// typed (the prefix carries magic/version/feature_dim, so the
     /// fuzzer reaches the index and record parsers).
     #[test]
-    fn garbage_bodies_fail_typed(seed in any::<u64>(), len in 0usize..2048, case in 0u32..1_000_000) {
+    fn garbage_bodies_fail_typed(seed in any::<u64>(), len in 0usize..2048) {
         let full = valid_bytes();
         let mut bytes = full[..16].to_vec(); // magic + version + feature_dim
         let mut s = seed;
         for _ in 16..32 + len {
             bytes.push((splitmix(&mut s) & 0xff) as u8);
         }
-        let outcome = open_and_drain(&bytes, &format!("garbage_{case}"));
+        let outcome = open_and_drain(&bytes, "garbage");
         prop_assert!(outcome.is_err(), "garbage body opened and drained");
     }
 }

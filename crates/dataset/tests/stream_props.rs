@@ -3,14 +3,10 @@
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use tpu_dataset::{DatasetReader, DatasetWriter, StreamError, STREAM_MAGIC};
+use tpu_dataset::{DatasetReader, DatasetWriter, StreamError, TempPath, STREAM_MAGIC};
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::{Prepared, Sample, Tensor};
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tpu_stream_props_{}_{name}", std::process::id()))
-}
 
 fn write_examples(path: &Path, examples: &[Prepared]) {
     let mut w = DatasetWriter::create(path).unwrap();
@@ -89,11 +85,10 @@ proptest! {
     fn roundtrip_arbitrary_examples(
         seed in any::<u64>(),
         count in 1usize..8,
-        case in 0u32..1_000_000,
     ) {
         let examples: Vec<Prepared> =
             (0..count).map(|i| example_from_seed(seed ^ (i as u64) << 17)).collect();
-        let path = tmp(&format!("prop_{case}"));
+        let path = TempPath::new("prop");
         write_examples(&path, &examples);
         let r = DatasetReader::open(&path).unwrap();
         prop_assert_eq!(r.len(), examples.len());
@@ -102,7 +97,6 @@ proptest! {
             assert_bit_identical(&got, expect);
             prop_assert_eq!(r.program_id(i), i);
         }
-        let _ = std::fs::remove_file(path);
     }
 }
 
@@ -126,59 +120,54 @@ fn fixture() -> Vec<Prepared> {
 
 #[test]
 fn truncated_file_is_a_typed_error_not_a_panic() {
-    let path = tmp("trunc");
+    let path = TempPath::new("trunc");
     write_examples(&path, &fixture());
     let full = std::fs::read(&path).unwrap();
     // Cut the file at several points: inside the header, inside a record,
     // inside the index. Every cut must produce a typed error.
     for cut in [10, 40, full.len() - 5] {
-        let cut_path = tmp(&format!("trunc_cut{cut}"));
+        let cut_path = TempPath::new(&format!("trunc_cut{cut}"));
         std::fs::write(&cut_path, &full[..cut]).unwrap();
         match DatasetReader::open(&cut_path) {
             Err(StreamError::Truncated { .. } | StreamError::Corrupt(_) | StreamError::Io(_)) => {}
             Ok(_) => panic!("cut at {cut} opened successfully"),
             Err(e) => panic!("cut at {cut}: unexpected error {e}"),
         }
-        let _ = std::fs::remove_file(cut_path);
     }
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn bad_magic_and_version_are_typed_errors() {
-    let path = tmp("magic");
+    let path = TempPath::new("magic");
     write_examples(&path, &fixture());
     let mut bytes = std::fs::read(&path).unwrap();
 
     let mut evil = bytes.clone();
     evil[0] = b'X';
-    let evil_path = tmp("magic_bad");
+    let evil_path = TempPath::new("magic_bad");
     std::fs::write(&evil_path, &evil).unwrap();
     match DatasetReader::open(&evil_path) {
         Err(StreamError::BadMagic(m)) => assert_ne!(m, STREAM_MAGIC),
         other => panic!("expected BadMagic, got {other:?}"),
     }
-    let _ = std::fs::remove_file(evil_path);
 
     bytes[8] = 99; // version LE byte
-    let ver_path = tmp("magic_ver");
+    let ver_path = TempPath::new("magic_ver");
     std::fs::write(&ver_path, &bytes).unwrap();
     match DatasetReader::open(&ver_path) {
         Err(StreamError::UnsupportedVersion(v)) => assert_ne!(v, 1),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    let _ = std::fs::remove_file(ver_path);
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn feature_dim_mismatch_is_a_typed_error() {
-    let path = tmp("fdim");
+    let path = TempPath::new("fdim");
     write_examples(&path, &fixture());
     let mut bytes = std::fs::read(&path).unwrap();
     // Bump the header's feature_dim field (offset 12).
     bytes[12] = bytes[12].wrapping_add(1);
-    let bad = tmp("fdim_bad");
+    let bad = TempPath::new("fdim_bad");
     std::fs::write(&bad, &bytes).unwrap();
     match DatasetReader::open(&bad) {
         Err(StreamError::FeatureDimMismatch { file, expected }) => {
@@ -187,20 +176,18 @@ fn feature_dim_mismatch_is_a_typed_error() {
         }
         other => panic!("expected FeatureDimMismatch, got {other:?}"),
     }
-    let _ = std::fs::remove_file(bad);
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn corrupt_record_header_is_a_typed_error() {
-    let path = tmp("corrupt");
+    let path = TempPath::new("corrupt");
     let examples = fixture();
     write_examples(&path, &examples);
     let mut bytes = std::fs::read(&path).unwrap();
     // First record starts at byte 32; flip its num_nodes field so the
     // record header disagrees with the trailing index.
     bytes[32] = bytes[32].wrapping_add(1);
-    let bad = tmp("corrupt_bad");
+    let bad = TempPath::new("corrupt_bad");
     std::fs::write(&bad, &bytes).unwrap();
     let r = DatasetReader::open(&bad).unwrap(); // index itself is intact
     match r.get(0) {
@@ -209,8 +196,6 @@ fn corrupt_record_header_is_a_typed_error() {
     }
     // Other records are unaffected.
     assert_bit_identical(&r.get(1).unwrap(), &examples[1]);
-    let _ = std::fs::remove_file(bad);
-    let _ = std::fs::remove_file(path);
 }
 
 /// Byte-exact golden file: the committed `golden/stream.tpuds` must equal
@@ -220,10 +205,9 @@ fn corrupt_record_header_is_a_typed_error() {
 #[test]
 fn golden_dataset_file_is_byte_exact() {
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stream.tpuds");
-    let fresh = tmp("golden_fresh");
+    let fresh = TempPath::new("golden_fresh");
     write_examples(&fresh, &fixture());
     let fresh_bytes = std::fs::read(&fresh).unwrap();
-    let _ = std::fs::remove_file(&fresh);
     if std::env::var("REGEN_GOLDEN").as_deref() == Ok("1") {
         std::fs::create_dir_all(golden.parent().unwrap()).unwrap();
         std::fs::write(&golden, &fresh_bytes).unwrap();

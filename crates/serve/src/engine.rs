@@ -329,7 +329,7 @@ pub struct ServeStats {
     pub breaker_state: u8,
     /// Predictor counters mirrored after each batch.
     pub predict: PredictStats,
-    /// Cache residency after the last batch.
+    /// Cache residency, read from the cache at [`ServeEngine::stats`] time.
     pub cache_entries: usize,
     /// Cache evictions after the last batch.
     pub cache_evictions: u64,
@@ -428,7 +428,6 @@ struct Shared {
     cache_hits: AtomicU64,
     model_evals: AtomicU64,
     model_batches: AtomicU64,
-    cache_entries: AtomicU64,
     cache_evictions: AtomicU64,
 }
 
@@ -452,7 +451,6 @@ impl Shared {
             cache_hits: AtomicU64::new(0),
             model_evals: AtomicU64::new(0),
             model_batches: AtomicU64::new(0),
-            cache_entries: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
         }
     }
@@ -461,6 +459,9 @@ impl Shared {
 /// A running serving engine; see the module docs for the design.
 pub struct ServeEngine {
     shared: Arc<Shared>,
+    // Occupancy is read from here only when `stats` asks: `len` may scan
+    // every slot, far too slow to run after each batch.
+    cache: Arc<dyn KernelCache>,
     tx: Mutex<Option<Sender<Job>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     backend: Mutex<String>,
@@ -513,11 +514,12 @@ impl ServeEngine {
         let worker_clock = Arc::clone(&opts.clock);
         let worker_breaker = opts.breaker.clone();
         let epoch = Arc::new(AtomicU64::new(0));
+        let worker_cache = Arc::clone(&cache);
         let worker = std::thread::Builder::new()
             .name("tpu-serve-worker".to_string())
             .spawn(move || {
                 let cache = Arc::new(EpochCache {
-                    inner: cache,
+                    inner: worker_cache,
                     epoch,
                 });
                 let mut ctx = Worker {
@@ -537,6 +539,7 @@ impl ServeEngine {
             .expect("spawn serve worker");
         ServeEngine {
             shared,
+            cache,
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
             backend: Mutex::new(backend),
@@ -753,7 +756,7 @@ impl ServeEngine {
                 model_evals: s.model_evals.load(Ordering::Relaxed),
                 model_batches: s.model_batches.load(Ordering::Relaxed),
             },
-            cache_entries: s.cache_entries.load(Ordering::Relaxed) as usize,
+            cache_entries: self.cache.len(),
             cache_evictions: s.cache_evictions.load(Ordering::Relaxed),
         }
     }
@@ -836,7 +839,8 @@ impl Worker {
         // exceeds their budget — a reply now would be late anyway, and
         // skipping them keeps an overloaded daemon's batches useful.
         let now = self.clock.now_ms();
-        let mut live = Vec::with_capacity(jobs.len());
+        let mut kernels = Vec::with_capacity(jobs.len());
+        let mut waiters = Vec::with_capacity(jobs.len());
         for job in jobs {
             let Job::Predict {
                 kernel,
@@ -853,10 +857,11 @@ impl Worker {
                 self.shared.pending.fetch_sub(1, Ordering::SeqCst);
                 let _ = reply.send(Err(ServeError::DeadlineExpired));
             } else {
-                live.push((kernel, deadline_ms, enqueued_ms, reply));
+                kernels.push(kernel);
+                waiters.push((deadline_ms, enqueued_ms, reply));
             }
         }
-        if live.is_empty() {
+        if kernels.is_empty() {
             return;
         }
 
@@ -871,7 +876,6 @@ impl Worker {
 
         let evals_so_far = self.base.model_evals + self.predictor.stats().model_evals;
         let within_budget = self.budget.is_none_or(|b| evals_so_far < b);
-        let kernels: Vec<Kernel> = live.iter().map(|(k, ..)| k.clone()).collect();
         let results: Vec<Result<Option<f64>, ServeError>> = if within_budget {
             // Panic isolation: a panicking backend fails this batch with a
             // typed error and trips the breaker instead of killing the
@@ -905,9 +909,7 @@ impl Worker {
         // Post-batch deadline check: a result that took too long to
         // compute is reported expired, never silently served late.
         let now = self.clock.now_ms();
-        for ((_kernel, deadline_ms, enqueued_ms, reply), result) in
-            live.into_iter().zip(results)
-        {
+        for ((deadline_ms, enqueued_ms, reply), result) in waiters.into_iter().zip(results) {
             let result = match result {
                 Ok(_) if Self::expired(now, enqueued_ms, deadline_ms) => {
                     Err(ServeError::DeadlineExpired)
@@ -984,9 +986,6 @@ impl Worker {
             self.base.model_batches + stats.model_batches,
             Ordering::Relaxed,
         );
-        shared
-            .cache_entries
-            .store(self.predictor.cache().len() as u64, Ordering::Relaxed);
         shared.cache_evictions.store(
             self.predictor.cache().eviction_count(),
             Ordering::Relaxed,

@@ -17,6 +17,7 @@
 //!
 //! and commit the updated `report_golden.json` together with the change.
 
+use tpu_repro::dataset::TempPath;
 use tpu_repro::obs::{Registry, RunReport, SCHEMA};
 
 /// A registry covering every metric kind and JSON edge the format has:
@@ -105,11 +106,8 @@ fn golden_report_is_reproducible_within_a_run() {
 #[test]
 fn written_report_round_trips_the_rendered_json() {
     let report = golden_report();
-    let dir = std::env::temp_dir().join("tpu_obs_report_golden_test");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join("report.json");
+    let path = TempPath::new("report.json");
     report.write(&path).expect("write report");
     let on_disk = std::fs::read_to_string(&path).expect("read back");
     assert_eq!(on_disk, report.to_json());
-    let _ = std::fs::remove_file(&path);
 }

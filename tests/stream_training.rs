@@ -10,7 +10,7 @@
 
 use tpu_repro::dataset::{
     stream_corpus, Corpus, CorpusScale, DatasetReader, DatasetWriter, FusionDatasetConfig,
-    StreamGenConfig,
+    StreamGenConfig, TempPath,
 };
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::{
@@ -30,7 +30,7 @@ fn small_model() -> GnnModel {
 
 #[test]
 fn streamed_file_training_matches_in_memory_training() {
-    let path = std::env::temp_dir().join(format!("tpu_stream_train_{}.tpuds", std::process::id()));
+    let path = TempPath::new("stream_train.tpuds");
     let corpus = Corpus::build(CorpusScale::Tiny);
     let cfg = StreamGenConfig {
         fusion: FusionDatasetConfig {
@@ -88,7 +88,6 @@ fn streamed_file_training_matches_in_memory_training() {
         from_memory.params().to_json(),
         "final parameters differ between streamed-file and in-memory training"
     );
-    let _ = std::fs::remove_file(path);
 }
 
 fn chain_kernel(len: usize, cols: usize) -> Kernel {
