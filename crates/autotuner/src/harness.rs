@@ -1008,11 +1008,6 @@ pub fn speedup_over_default(program: &Program, device: &TpuDevice, tuned: &Tuned
 #[cfg(test)]
 mod tests {
     use super::*;
-    // The tests deliberately run the model phase over the sharded-mutex
-    // reference cache: `autotune_with_cost_model` is generic over
-    // `KernelCache`, and keeping one backend here and the lock-free
-    // default in the binaries exercises both instantiations.
-    use tpu_learned_cost::PredictionCache;
     use tpu_hlo::{DType, GraphBuilder, Shape};
     use tpu_sim::TpuConfig;
 
@@ -1119,7 +1114,7 @@ mod tests {
         let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
             Some(tpu_sim::kernel_time_ns(k, &cfg))
         });
-        let cache = Arc::new(PredictionCache::new());
+        let cache = Arc::new(AtomicCache::serving_default());
         let cold = autotune_with_cost_model(
             &p,
             &device,
@@ -1164,7 +1159,7 @@ mod tests {
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &Arc::new(AtomicCache::serving_default()),
             StartMode::Default,
             &budgets,
             0,
@@ -1176,7 +1171,7 @@ mod tests {
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &Arc::new(AtomicCache::serving_default()),
             StartMode::Default,
             &budgets,
             0,
@@ -1317,7 +1312,7 @@ mod tests {
                 &p,
                 &device,
                 &model,
-                &Arc::new(PredictionCache::new()),
+                &Arc::new(AtomicCache::serving_default()),
                 StartMode::Default,
                 &budgets,
                 0,
@@ -1327,7 +1322,7 @@ mod tests {
                 &p,
                 &device,
                 &model,
-                &Arc::new(PredictionCache::new()),
+                &Arc::new(AtomicCache::serving_default()),
                 StartMode::Default,
                 &budgets,
                 &crate::beam::SearchParams {
@@ -1385,7 +1380,7 @@ mod tests {
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &Arc::new(AtomicCache::serving_default()),
             StartMode::Default,
             &quick_budgets(),
             &crate::beam::SearchParams {
@@ -1417,7 +1412,7 @@ mod tests {
             Some(tpu_sim::kernel_time_ns(k, &sim_cfg))
         });
         let (space, default_cfg) = default_space_and_config(&p.computation);
-        let cache = Arc::new(PredictionCache::new());
+        let cache = Arc::new(AtomicCache::serving_default());
         let predictor = Predictor::with_cache(&model, Arc::clone(&cache));
         let mut plain = ModelObjective::new(&p, &space, &predictor);
         let mut tiled = TiledModelObjective::new(&p, &space, &predictor, cfg.clone(), 4);
@@ -1618,7 +1613,7 @@ mod tests {
             Some(tpu_sim::kernel_time_ns(k, &cfg))
         });
         for chains in [1, 4] {
-            let cache = Arc::new(PredictionCache::new());
+            let cache = Arc::new(AtomicCache::serving_default());
             let budgets = Budgets {
                 chains,
                 ..quick_budgets()

@@ -24,7 +24,7 @@
 //! - [`autotune_with_model`] / [`autotune_with_cost_model`] — model-guided
 //!   search + top-k hardware re-ranking (the §6.3 protocol), with
 //!   per-kernel predictions served through a shared
-//!   [`tpu_learned_cost::PredictionCache`],
+//!   [`tpu_learned_cost::AtomicCache`],
 //! - [`random_configs`] — the dataset-generation random search (§5).
 //!
 //! # Example

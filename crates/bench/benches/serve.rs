@@ -5,10 +5,7 @@
 //! worker batch → cache probe — the serving overhead the daemon adds on
 //! top of the predictor. Reports p50/p99 per-request latency and total
 //! throughput per client count — including a degraded-mode row with the
-//! circuit breaker pinned open (the outage throughput floor) — plus an
-//! atomic-vs-mutex cache backend comparison on the multi-client load
-//! (ROADMAP item 2's claim: the lock-free cache serves concurrent
-//! clients at least as fast as the sharded-mutex one).
+//! circuit breaker pinned open (the outage throughput floor).
 //!
 //! Writes `BENCH_serve.json` at the repo root. Under `BENCH_SMOKE=1` the
 //! load shrinks so CI can run it in seconds — and still writes the file,
@@ -24,7 +21,7 @@ use std::time::Instant;
 use tpu_infer::{freeze_gnn, FrozenModel};
 use tpu_learned_cost::{
     AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, FnCostModel, GnnConfig,
-    GnnModel, KernelCache, PredictionCache, SimOracle,
+    GnnModel, KernelCache, SimOracle,
 };
 use tpu_obs::Registry;
 use tpu_serve::{demo_kernels, percentile, ServeConfig, ServeEngine};
@@ -92,42 +89,6 @@ fn run_load(
     }
 }
 
-/// Warm-cache kernels/second over `threads` concurrent callers sharing
-/// one predictor: every kernel is resident, so the cache probe IS the
-/// hot loop and the backend difference is what gets measured.
-fn warm_cached_throughput<C: KernelCache + 'static>(
-    cache: Arc<C>,
-    threads: usize,
-    iters: usize,
-) -> f64 {
-    let model = tpu_learned_cost::FnCostModel::new("bench", |k: &tpu_hlo::Kernel| {
-        Some(k.computation.num_nodes() as f64)
-    });
-    let predictor = Arc::new(tpu_learned_cost::Predictor::with_cache(model, cache));
-    let kernels = Arc::new(demo_kernels(32));
-    predictor.predict_ns(&kernels); // warm: everything resident
-
-    let started = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let predictor = Arc::clone(&predictor);
-            let kernels = Arc::clone(&kernels);
-            std::thread::spawn(move || {
-                let refs: Vec<&tpu_hlo::Kernel> = kernels.iter().collect();
-                for _ in 0..iters {
-                    let (preds, _) = predictor.predict_ns_refs(std::hint::black_box(&refs));
-                    std::hint::black_box(preds);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("warm thread");
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    (threads * iters * kernels.len()) as f64 / elapsed.max(1e-9)
-}
-
 fn bench_serve(_c: &mut Criterion) {
     let per_client = if smoke() { 25 } else { 200 };
     let client_counts = [1usize, 8, 64];
@@ -193,39 +154,9 @@ fn bench_serve(_c: &mut Criterion) {
         }
     }
 
-    // Backend comparison on the multi-client cached load. The daemon
-    // rows above are dominated by channel/wakeup overhead, which is
-    // identical for both backends; the cache shows up on the warm predict
-    // path itself, so hammer that directly from concurrent threads
-    // sharing one predictor. Alternate backends and keep each one's best
-    // round to cancel drift on a shared/noisy machine.
-    let cmp_clients = 8;
-    let cmp_iters = if smoke() { 200 } else { 4_000 };
-    let rounds = if smoke() { 3 } else { 5 };
-    let (mut atomic_rps, mut mutex_rps) = (0.0f64, 0.0f64);
-    for _ in 0..rounds {
-        let a = warm_cached_throughput(
-            Arc::new(AtomicCache::serving_default()),
-            cmp_clients,
-            cmp_iters,
-        );
-        let m = warm_cached_throughput(Arc::new(PredictionCache::new()), cmp_clients, cmp_iters);
-        atomic_rps = atomic_rps.max(a);
-        mutex_rps = mutex_rps.max(m);
-    }
-    let speedup = atomic_rps / mutex_rps.max(1e-9);
-    println!(
-        "warm cached path, {cmp_clients} threads: atomic {atomic_rps:.0} kernels/s, \
-         mutex {mutex_rps:.0} kernels/s ({speedup:.2}x)"
-    );
-
     let json = format!(
         "{{\n  \"serve\": {{\n    \"smoke\": {},\n    \"requests_per_client\": {per_client},\n    \
-         \"clients\": [\n{}\n    ],\n    \"cache_comparison\": {{\n      \
-         \"clients\": {cmp_clients},\n      \"rounds\": {rounds},\n      \
-         \"atomic_warm_kernels_per_s\": {atomic_rps:.1},\n      \
-         \"mutex_warm_kernels_per_s\": {mutex_rps:.1},\n      \
-         \"atomic_over_mutex\": {speedup:.3}\n    }}\n  }}\n}}\n",
+         \"clients\": [\n{}\n    ]\n  }}\n}}\n",
         smoke(),
         rows.join(",\n"),
     );

@@ -25,7 +25,7 @@ use serde::Value;
 use std::time::Instant;
 use tpu_dataset::{
     stream_corpus, Corpus, CorpusScale, DatasetReader, DatasetWriter, FusionDatasetConfig,
-    StreamGenConfig,
+    StreamGenConfig, TempPath,
 };
 use tpu_learned_cost::{train_stream, BatchSource, GnnConfig, GnnModel, StreamConfig, TrainConfig};
 
@@ -153,14 +153,10 @@ fn spawn_child(phase: &str, scale: &str, path: &std::path::Path) -> (usize, f64,
 }
 
 fn measure_scale(scale: &str) -> ScaleReport {
-    let path = std::env::temp_dir().join(format!(
-        "tpu_stream_bench_{}_{scale}.tpuds",
-        std::process::id()
-    ));
+    let path = TempPath::new(&format!("stream_bench_{scale}.tpuds"));
     let (records, generate_secs, gen_rss_kib) = spawn_child("gen", scale, &path);
     let dataset_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let (_, train_secs, train_rss_kib) = spawn_child("train", scale, &path);
-    let _ = std::fs::remove_file(&path);
     ScaleReport {
         scale: scale.to_string(),
         records,

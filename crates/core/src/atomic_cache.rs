@@ -1,6 +1,6 @@
 //! A lock-free, fixed-capacity prediction cache with atomic packed
-//! entries — the serving-grade replacement for the sharded-mutex
-//! [`PredictionCache`](crate::PredictionCache).
+//! entries: the [`KernelCache`] behind every predictor, autotuner and
+//! serving path.
 //!
 //! The serving workload (a daemon answering kernel-cost queries from many
 //! concurrent autotuner clients, §6.3 at fleet scale) is read-mostly and
@@ -42,14 +42,11 @@
 //!
 //! The slot array is allocated once at construction and never grows:
 //! [`AtomicCache::with_capacity`]`(n)` holds **at most exactly `n`**
-//! entries (unlike the historical sharded cache, whose per-shard
-//! rounding could overshoot small capacities). Inserting into a full
-//! probe window lossily replaces the window's first slot and counts an
-//! eviction.
+//! entries. Inserting into a full probe window lossily replaces the
+//! window's first slot and counts an eviction.
 
 use crate::engine::{CacheStats, KernelCache};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tpu_hlo::{canonical_kernel_hash, Kernel};
 
 /// Slots probed per key: the open-addressing window. Small enough that a
 /// probe is a handful of cache lines, large enough that lossy
@@ -115,19 +112,16 @@ impl Slot {
 /// Lock-free, fixed-capacity, open-addressed prediction cache keyed by
 /// the canonical kernel hash.
 ///
-/// Drop-in serving replacement for the sharded-mutex
-/// [`PredictionCache`](crate::PredictionCache) behind the
-/// [`KernelCache`] trait: same counters, same
-/// [`CacheStats`] snapshot, same `Option<Option<f64>>` lookup contract
-/// (the cached value may itself be `None` for a kernel the backend
-/// cannot score). The differences are deliberate serving trade-offs:
+/// Implements the [`KernelCache`] contract: hit/miss/eviction counters, a
+/// [`CacheStats`] snapshot, and an `Option<Option<f64>>` lookup (the
+/// cached value may itself be `None` for a kernel the backend cannot
+/// score). Its properties are deliberate serving trade-offs:
 ///
 /// - **lossy**: an insert may replace a colliding resident entry (or be
 ///   lost outright in a writer/writer race) — sound because predictions
 ///   are pure functions of the kernel and the frozen weights, so a lost
 ///   entry only costs a recomputation;
-/// - **bounded exactly**: never more than `capacity()` resident entries,
-///   with no per-shard rounding;
+/// - **bounded exactly**: never more than `capacity()` resident entries;
 /// - **lock-free**: probes and inserts are a bounded number of atomic
 ///   loads/stores; no operation can block another thread, and a verified
 ///   hit can never return a value written for a different key (see the
@@ -177,11 +171,6 @@ impl AtomicCache {
     /// Number of entry slots — the exact residency bound.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The cache key for a kernel.
-    pub fn key(kernel: &Kernel) -> u64 {
-        canonical_kernel_hash(kernel)
     }
 
     /// The probe sequence for a hash: `PROBE_WINDOW` consecutive slots
@@ -250,24 +239,6 @@ impl AtomicCache {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         victim.val.store(word, Ordering::Release);
         victim.tag.store(k ^ word, Ordering::Release);
-    }
-
-    /// Return the cached prediction for `kernel`, computing it with
-    /// `compute` on a miss. Nothing is held while `compute` runs; under
-    /// contention two threads may both compute, which is harmless
-    /// (predictions are deterministic).
-    pub fn get_or_compute(
-        &self,
-        kernel: &Kernel,
-        compute: impl FnOnce() -> Option<f64>,
-    ) -> Option<f64> {
-        let hash = AtomicCache::key(kernel);
-        if let Some(cached) = self.lookup_hash(hash) {
-            return cached;
-        }
-        let fresh = compute();
-        self.insert_hash(hash, fresh);
-        fresh
     }
 
     /// Number of resident entries (occupied slots). A full scan, and a

@@ -19,12 +19,10 @@
 //! - [`CostModel`]: one batch-first interface over learned/analytical/
 //!   simulator backends, making the model retargetable across compiler
 //!   tasks — `predict_batch_ns` is the primary serving surface,
-//! - [`Predictor`] / [`AtomicCache`] / [`PredictionCache`]: the inference
-//!   engine — a serving session that answers what it can from the
-//!   canonical-hash cache (by default the lock-free fixed-capacity
-//!   [`AtomicCache`]; the sharded-mutex [`PredictionCache`] remains as
-//!   the lossless reference backend behind the [`KernelCache`] trait)
-//!   and presents the distinct misses to the backend as one packed
+//! - [`Predictor`] / [`AtomicCache`]: the inference engine — a serving
+//!   session that answers what it can from the canonical-hash cache (the
+//!   lock-free fixed-capacity [`AtomicCache`], behind the [`KernelCache`]
+//!   trait) and presents the distinct misses to the backend as one packed
 //!   forward pass, for serving the model inside an autotuner (§6.3).
 //!
 //! # Example
@@ -63,7 +61,7 @@ pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHE
 pub use cost_model::{CostModel, FnCostModel, SimOracle};
 pub use engine::{
     forward_log_ns, forward_log_ns_chunked, BatchRoute, BreakerConfig, BreakerState, CacheStats,
-    CircuitBreaker, FallbackChain, KernelCache, PredictStats, PredictionCache, Predictor,
+    CircuitBreaker, FallbackChain, KernelCache, PredictStats, Predictor,
 };
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};

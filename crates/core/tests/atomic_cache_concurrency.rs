@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tpu_learned_cost::{AtomicCache, KernelCache};
+use tpu_learned_cost::AtomicCache;
 
 /// The expected prediction for a key: a pure function, so every thread
 /// agrees on what a hit must return. Keys divisible by 5 map to `None`

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]
-//!           [--faults SEED] [--runs N] [--cache-slots N] [--mutex-cache]
+//!           [--faults SEED] [--runs N] [--cache-slots N]
 //!           [--max-pending N] [--batch-max N] [--eval-budget N]
 //!           [--deadline-ms N] [--no-breaker] [--breaker-trip N]
 //!           [--breaker-cooldown N]
@@ -55,7 +55,7 @@ use std::time::Instant;
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::{
     load_gnn, AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, KernelCache,
-    PredictionCache, SimOracle,
+    SimOracle,
 };
 use tpu_obs::Registry;
 use tpu_serve::{
@@ -140,12 +140,7 @@ fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
 }
 
 fn build_cache(args: &[String]) -> Arc<dyn KernelCache> {
-    let slots = flag_parse(args, "--cache-slots", 1usize << 16);
-    if args.iter().any(|a| a == "--mutex-cache") {
-        Arc::new(PredictionCache::with_capacity(slots))
-    } else {
-        Arc::new(AtomicCache::with_capacity(slots))
-    }
+    Arc::new(AtomicCache::with_capacity(flag_parse(args, "--cache-slots", 1usize << 16)))
 }
 
 fn run_serve(args: &[String]) -> ExitCode {
@@ -430,7 +425,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]\n\
-             \x20                [--faults SEED] [--runs N] [--cache-slots N] [--mutex-cache]\n\
+             \x20                [--faults SEED] [--runs N] [--cache-slots N]\n\
              \x20                [--max-pending N] [--batch-max N] [--eval-budget N]\n\
              \x20                [--deadline-ms MS] [--no-breaker] [--breaker-trip N]\n\
              \x20                [--breaker-cooldown N]\n\

@@ -482,9 +482,10 @@ impl ServeEngine {
     /// Spawn the worker thread over `model` and `cache` with default
     /// resilience options (wall clock, no breaker, no reload).
     ///
-    /// The cache is taken as `Arc<dyn KernelCache>` so callers pick the
-    /// backend (atomic vs. sharded-mutex) at runtime; metrics go to
-    /// `registry` through the predictor's usual `core.cache.*` surface.
+    /// The cache is taken as `Arc<dyn KernelCache>` so callers may pass
+    /// the `AtomicCache` itself or a wrapper around it (a counting or
+    /// timing cache); metrics go to `registry` through the predictor's
+    /// usual `core.cache.*` surface.
     pub fn start(
         model: Box<dyn CostModel + Send>,
         cache: Arc<dyn KernelCache>,

@@ -11,7 +11,7 @@ use tpu_repro::hlo::{
     canonical_kernel_hash, DType, GraphBuilder, Kernel, Program, Shape, TileSize,
 };
 use tpu_repro::learned::{
-    CostModel, FnCostModel, GnnConfig, GnnModel, PredictionCache, Predictor, Prepared,
+    AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, Predictor, Prepared,
 };
 use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 
@@ -143,7 +143,7 @@ fn revisiting_a_configuration_costs_zero_fresh_model_evals() {
         evals.fetch_add(1, Ordering::SeqCst);
         Some(kernel_time_ns(k, &machine))
     });
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let device = TpuDevice::new(7);
     let budgets = Budgets {
         hardware_ns: 30e9,

@@ -13,7 +13,7 @@ use tpu_repro::autotuner::{
 };
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Program, Shape};
 use tpu_repro::learned::{
-    prepare, train, train_observed, GnnConfig, GnnModel, KernelModel, PredictionCache, Sample,
+    prepare, train, train_observed, AtomicCache, GnnConfig, GnnModel, KernelModel, Sample,
     TrainConfig, TrainReport,
 };
 use tpu_repro::obs::Registry;
@@ -98,7 +98,7 @@ fn autotune_once(registry: Option<&Registry>) -> TunedConfig {
         Some(r) => TpuDevice::new(13).observed(r),
         None => TpuDevice::new(13),
     };
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let budgets = Budgets {
         hardware_ns: 25e9,
         model_steps: 100,

@@ -17,6 +17,7 @@
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use tpu_repro::dataset::TempPath;
 use tpu_repro::infer::{freeze_gnn, freeze_lstm, FrozenModel};
 use tpu_repro::learned::{
     AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, FnCostModel, GnnConfig,
@@ -484,10 +485,7 @@ fn run_outage(input: &str) -> String {
 
 #[test]
 fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
-    let corrupt_path = std::env::temp_dir().join(format!(
-        "tpu_resilience_corrupt_{}.blob",
-        std::process::id()
-    ));
+    let corrupt_path = TempPath::new("resilience_corrupt.blob");
     std::fs::write(&corrupt_path, &frozen_gnn_blob(71)[..40]).unwrap();
     let input = outage_transcript(corrupt_path.to_str().unwrap());
 
@@ -576,5 +574,4 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-    let _ = std::fs::remove_file(corrupt_path);
 }
